@@ -71,6 +71,17 @@ diff "$fleet_csv" "$ckpt_tmp/fleet-b/fleet.csv" || {
 gate_end "fleet gate"
 echo "fleet smoke + parallel-determinism gate passed"
 
+# Benchmark-replica gate: the perfbench package's own tests. They prove
+# its traced fleet replica (a lockstep loop built from public calls)
+# still equals `SimDriver::Lockstep`, and that the edge workloads and
+# their traced replica pass every benchmark check, so a change to the
+# platform tick or the serving path cannot quietly split the benchmark
+# from the code it measures.
+gate_begin
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+gate_end "perfbench replica gate"
+echo "perfbench replica gate passed"
+
 # Kernel gate: the vectorized int8 kernel, the scalar reference, and the
 # policy cache must be interchangeable byte-for-byte. Runs the
 # differential suite (scalar vs vectorized vs cached over randomized

@@ -579,6 +579,9 @@ fn process_epoch(plan: &Plan, config: &ChaosConfig, state: &mut ChaosState, epoc
     let transitions = state.service.drain_transitions();
     state.transitions += transitions.len() as u64;
     state.checker.observe_transitions(&transitions);
+    // The chaos report only needs counts: drop the per-service trace
+    // streams at every barrier so they never accumulate over the run.
+    drop(state.service.drain_service_events());
 }
 
 /// Runs the chaos experiment on the default (event-driven) driver.
@@ -639,15 +642,12 @@ pub fn run_with_driver(config: &ChaosConfig, driver: SimDriver) -> ChaosReport {
     }
 
     let ChaosState {
-        mut service,
+        service,
         checker,
         mut latencies,
         transitions,
     } = state;
     let stats = *service.stats();
-    // Drain the per-service trace streams so a longer pipeline behind
-    // the harness can consume them; the chaos report only needs counts.
-    let _ = service.drain_service_events();
     let violations = checker.finish(&stats);
 
     latencies.sort_unstable();

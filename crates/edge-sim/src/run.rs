@@ -657,6 +657,10 @@ fn end_epoch(plan: &RegionPlan, config: &EdgeConfig, state: &mut RegionState, ep
     let transitions = state.service.drain_transitions();
     state.transitions += transitions.len() as u64;
     state.checker.observe_transitions(&transitions);
+    // The services trace every admitted request; nothing here reads
+    // those events, so drop them per epoch instead of holding the whole
+    // run's worth until the end.
+    drop(state.service.drain_service_events());
 
     for (board, temp) in state.temps.iter_mut().enumerate() {
         *temp = AMBIENT + (*temp - AMBIENT) * ALPHA + HEAT_PER_REQ * state.heat[board] as f64;
@@ -796,7 +800,7 @@ fn simulate_region(
     }
 
     let RegionState {
-        mut service,
+        service,
         checker,
         mut qos_delays,
         thermal_violations,
@@ -806,7 +810,6 @@ fn simulate_region(
         ..
     } = state;
     let stats = *service.stats();
-    let _ = service.drain_service_events();
     let violations = checker.finish(&stats);
 
     qos_delays.sort_unstable();

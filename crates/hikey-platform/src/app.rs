@@ -135,7 +135,7 @@ impl AppInstance {
 
     /// Advances the application by `dt` on its core, running on `cluster`
     /// at frequency `f` with core-time share `share`. Returns the executed
-    /// instructions.
+    /// instructions and the phase the step ran in.
     pub(crate) fn advance(
         &mut self,
         cluster: Cluster,
@@ -143,7 +143,7 @@ impl AppInstance {
         share: f64,
         dt: SimDuration,
         now: SimTime,
-    ) -> f64 {
+    ) -> (f64, Phase) {
         let mut effective_dt = dt;
         if !self.migration_stall.is_zero() {
             if self.migration_stall >= dt {
@@ -166,7 +166,7 @@ impl AppInstance {
         if now >= self.grace_until && self.qos_target.is_violated_by(self.window.ips()) {
             self.violation_time += dt;
         }
-        insts
+        (insts, phase)
     }
 
     /// The currently active execution phase.
@@ -306,7 +306,7 @@ mod tests {
         let before = app.executed_instructions();
         app.migrate_to(CoreId::new(0), now);
         assert!(app.in_migration_stall());
-        let done = app.advance(Cluster::Little, f, 1.0, dt, now);
+        let (done, _) = app.advance(Cluster::Little, f, 1.0, dt, now);
         assert_eq!(done, 0.0, "stalled tick executes nothing");
         assert_eq!(app.executed_instructions(), before);
         assert_eq!(app.migrations(), 1);

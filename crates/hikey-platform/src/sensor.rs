@@ -93,6 +93,8 @@ pub struct SensorFilter {
     /// Ring of the most recent raw (non-missing) samples.
     ring: Vec<f64>,
     ring_pos: usize,
+    /// Reused buffer the median sorts a copy of the ring in.
+    median_scratch: Vec<f64>,
     last_good: Option<(SimTime, f64)>,
     lost: bool,
     held: u64,
@@ -107,6 +109,7 @@ impl SensorFilter {
             config,
             ring: Vec::with_capacity(config.window.max(1)),
             ring_pos: 0,
+            median_scratch: Vec::with_capacity(config.window.max(1)),
             last_good: None,
             lost: false,
             held: 0,
@@ -164,7 +167,7 @@ impl SensorFilter {
         }
     }
 
-    fn is_plausible(&self, now: SimTime, value: f64) -> bool {
+    fn is_plausible(&mut self, now: SimTime, value: f64) -> bool {
         if value < self.config.min_plausible || value > self.config.max_plausible {
             return false;
         }
@@ -188,9 +191,13 @@ impl SensorFilter {
         true
     }
 
-    fn median(&self) -> f64 {
-        let mut sorted = self.ring.clone();
-        sorted.sort_by(|a, b| a.total_cmp(b));
+    /// Upper median of the ring: the element at `len / 2` in ascending
+    /// [`f64::total_cmp`] order.
+    fn median(&mut self) -> f64 {
+        let sorted = &mut self.median_scratch;
+        sorted.clear();
+        sorted.extend_from_slice(&self.ring);
+        sorted.sort_unstable_by(f64::total_cmp);
         sorted[sorted.len() / 2]
     }
 
@@ -222,6 +229,35 @@ impl SensorFilter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The median sorted in the scratch buffer equals the median of a
+        /// sorted clone of the last `window` samples, with heavy
+        /// duplication (values drawn from 7 levels, signed zeros
+        /// included) and the ring wrapping.
+        #[test]
+        fn scratch_median_matches_sorted_clone(
+            window in 1usize..33,
+            levels in proptest::collection::vec(0u8..7, 1..80),
+        ) {
+            let values: Vec<f64> = levels
+                .iter()
+                .map(|&l| [-0.0, 0.0, 25.0, 40.5, 40.5, 85.25, -3.0][l as usize])
+                .collect();
+            let mut filter = SensorFilter::new(SensorFilterConfig {
+                window,
+                ..SensorFilterConfig::default()
+            });
+            for &v in &values {
+                filter.push_ring(v);
+            }
+            let mut reference = values[values.len().saturating_sub(window)..].to_vec();
+            reference.sort_by(|a, b| a.total_cmp(b));
+            let expected = reference[reference.len() / 2];
+            prop_assert_eq!(filter.median().to_bits(), expected.to_bits());
+        }
+    }
 
     fn filter() -> SensorFilter {
         let mut f = SensorFilter::new(SensorFilterConfig::default());

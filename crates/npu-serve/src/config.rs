@@ -19,6 +19,10 @@ pub struct ServeConfig {
     /// NPU devices in the pool.
     pub devices: usize,
     /// Worker threads computing ready batches (std threads, no runtime).
+    /// The service caps this once, at construction, at the CPUs the
+    /// process may run on (`std::thread::available_parallelism`, which
+    /// honours the affinity mask): a thread beyond that only adds a spawn
+    /// per dispatch. Replies never depend on the thread count.
     pub workers: usize,
     /// Maximum requests coalesced into one batch call; reaching it
     /// dispatches immediately.

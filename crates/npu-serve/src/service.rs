@@ -137,6 +137,9 @@ pub struct NpuService {
     queue: SubmissionQueue,
     /// Dispatched batches awaiting numeric computation.
     inflight: Vec<BatchPlan>,
+    /// Threads computing a dispatch: `config.workers` capped at the CPUs
+    /// available when the service was built.
+    compute_threads: usize,
     replies: HashMap<u64, ClientReply>,
     /// Terminal outcomes of requests that were admitted but failed fast
     /// (deadline passed before compute), by ticket id.
@@ -189,6 +192,9 @@ impl NpuService {
             admission: AdmissionStack::standard(&config),
             queue: SubmissionQueue::new(config.queue_capacity, config.retry_after),
             inflight: Vec::new(),
+            compute_threads: config
+                .workers
+                .min(std::thread::available_parallelism().map_or(1, |n| n.get())),
             replies: HashMap::new(),
             failures: HashMap::new(),
             stats: ServeStats::default(),
@@ -863,7 +869,7 @@ impl NpuService {
             &plans,
             &probes,
             self.config.kernel,
-            self.config.workers,
+            self.compute_threads,
         );
         for ((plan, probe), output) in plans.into_iter().zip(probes).zip(outputs) {
             self.absorb_probe(&plan, probe, &output);
@@ -1630,5 +1636,59 @@ mod tests {
             s
         };
         assert_eq!(neutral(&cold_stats), neutral(&warm_stats));
+    }
+
+    #[test]
+    fn compute_outputs_do_not_depend_on_the_thread_count() {
+        let net = mlp();
+        let model = NpuModel::compile(&net);
+        let queued = |id: usize, rows: usize| QueuedRequest {
+            id: id as u64,
+            client: ClientId::new(id as u64),
+            rows: request(id, rows),
+            submitted_at: ms(1),
+            ready_at: ms(1),
+            dispatch_deadline: ms(3),
+            deadline: None,
+            route_cpu: false,
+        };
+        // NPU-path and CPU-fallback plans of 1-4 requests with 1-3 rows.
+        let plans: Vec<BatchPlan> = (0..13)
+            .map(|p| BatchPlan {
+                requests: (0..1 + p % 4)
+                    .map(|r| queued(p * 4 + r, 1 + r % 3))
+                    .collect(),
+                device: Some(0),
+                npu: Some((SimDuration::from_micros(100), true)),
+                fallback: (p % 5 == 4).then_some(SimDuration::from_micros(300)),
+                completes_at: ms(2),
+                breaker_opened: false,
+            })
+            .collect();
+        // Even plans carry cache-miss probes (prequantized codes), odd
+        // plans none, so both kernel entry points are covered.
+        let mut cache = PolicyCache::new(64);
+        let probes: Vec<PlanProbe> = plans
+            .iter()
+            .enumerate()
+            .map(|(i, plan)| {
+                if i % 2 == 0 {
+                    probe_plan(&model, &mut cache, plan)
+                } else {
+                    PlanProbe::default()
+                }
+            })
+            .collect();
+        for kernel in [KernelMode::Scalar, KernelMode::default()] {
+            let one = compute_outputs(&model, &net, &plans, &probes, kernel, 1);
+            let eight = compute_outputs(&model, &net, &plans, &probes, kernel, 8);
+            assert_eq!(one.len(), plans.len());
+            for (a, b) in one.iter().zip(&eight) {
+                assert_eq!(a.rows(), b.rows());
+                let bits =
+                    |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(a), bits(b));
+            }
+        }
     }
 }

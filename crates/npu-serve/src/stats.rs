@@ -118,8 +118,15 @@ fn percentile(samples_ns: &[u64], q: f64) -> Option<SimDuration> {
     }
     let mut sorted = samples_ns.to_vec();
     sorted.sort_unstable();
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    Some(SimDuration::from_nanos(sorted[rank - 1]))
+    Some(SimDuration::from_nanos(
+        sorted[nearest_rank(sorted.len(), q) - 1],
+    ))
+}
+
+/// The 1-based nearest rank of the `q`-quantile among `n > 0` samples:
+/// `ceil(q * n)`, clamped to `1..=n`.
+pub(crate) fn nearest_rank(n: usize, q: f64) -> usize {
+    ((q * n as f64).ceil() as usize).clamp(1, n)
 }
 
 /// One epoch of service health, cut by [`crate::NpuService::epoch_metrics`].

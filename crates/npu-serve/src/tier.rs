@@ -18,7 +18,9 @@
 //! 3. **Hedged requests.** Every rack-routed request arms a hedge at
 //!    `submit + hedge_timeout()`, where the timeout is derived from the
 //!    p-quantile ([`TierConfig::hedge_quantile`], default p99) of recent
-//!    rack latencies (never below [`TierConfig::hedge_min`]). If the rack
+//!    rack latencies (never below [`TierConfig::hedge_min`]). Rack
+//!    latencies only arrive inside `flush`, so the timeout is recomputed
+//!    once at the end of each flush and read for free on submit. If the rack
 //!    reply has not completed by then, a duplicate fires to the regional
 //!    tier and the earlier completion wins. Hedge decisions are made
 //!    retrospectively at the barrier but use only information available
@@ -40,7 +42,7 @@
 //! has exactly one outcome (request conservation — checked by the chaos
 //! harness in `bench`).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 use faults::{BreakerState, CircuitBreaker};
 use hmc_types::{SimDuration, SimTime};
@@ -51,6 +53,7 @@ use trace::TraceEvent;
 
 use crate::limiter::ClientId;
 use crate::service::SubmitOptions;
+use crate::stats::nearest_rank;
 use crate::{ConfigError, NpuService, RequestTicket, ServeConfig, ServeError};
 
 /// Configuration of a [`TieredService`].
@@ -300,8 +303,16 @@ pub struct TieredService {
     /// Regional outage fault: the backbone to the regional tier is cut,
     /// so failovers and hedges go straight to the CPU rung.
     regional_down: bool,
-    /// Recent successful rack latencies, for the hedge quantile.
-    latency_window: Vec<SimDuration>,
+    /// The last `hedge_window` successful rack latencies, oldest first.
+    latency_window: VecDeque<SimDuration>,
+    /// Hedge timeout derived from `latency_window`. The window only
+    /// changes inside [`TieredService::flush`], so the quantile is
+    /// refreshed once at the end of each flush, not on every submit.
+    hedge_timeout: SimDuration,
+    /// Every successful rack latency, oldest first: the from-scratch
+    /// oracle of the windowed hedge quantile.
+    #[cfg(test)]
+    latency_log: Vec<SimDuration>,
     pending: Vec<PendingRequest>,
     outcomes: HashMap<u64, TierOutcome>,
     transitions: Vec<TierTransition>,
@@ -353,7 +364,10 @@ impl TieredService {
             macs: mlp.macs(),
             slow_milli: 1000,
             regional_down: false,
-            latency_window: Vec::new(),
+            latency_window: VecDeque::with_capacity(config.hedge_window),
+            hedge_timeout: config.hedge_min,
+            #[cfg(test)]
+            latency_log: Vec::new(),
             pending: Vec::new(),
             outcomes: HashMap::new(),
             transitions: Vec::new(),
@@ -375,16 +389,23 @@ impl TieredService {
     }
 
     /// Current hedge timeout: `max(hedge_min, q-quantile of the recent
-    /// rack latencies)`.
+    /// rack latencies)`, as of the last [`TieredService::flush`].
     pub fn hedge_timeout(&self) -> SimDuration {
-        if self.latency_window.is_empty() {
-            return self.config.hedge_min;
+        self.hedge_timeout
+    }
+
+    /// Recomputes the hedge timeout from the latency window: the
+    /// nearest-rank quantile, the `ceil(q * n)`-th smallest latency.
+    fn refresh_hedge_timeout(&mut self) {
+        let n = self.latency_window.len();
+        if n == 0 {
+            self.hedge_timeout = self.config.hedge_min;
+            return;
         }
-        let mut sorted = self.latency_window.clone();
-        sorted.sort();
-        let rank = ((sorted.len() as f64) * self.config.hedge_quantile).ceil() as usize;
-        let quantile = sorted[rank.clamp(1, sorted.len()) - 1];
-        quantile.max(self.config.hedge_min)
+        let rank = nearest_rank(n, self.config.hedge_quantile);
+        let mut latencies: Vec<_> = self.latency_window.iter().copied().collect();
+        let (_, &mut quantile, _) = latencies.select_nth_unstable(rank - 1);
+        self.hedge_timeout = quantile.max(self.config.hedge_min);
     }
 
     /// State of a tier breaker.
@@ -591,6 +612,7 @@ impl TieredService {
             rack.service.flush(barrier);
         }
         self.resolve_pending(barrier);
+        self.refresh_hedge_timeout();
     }
 
     /// Replays heartbeat ticks up to `now` and updates suspicion.
@@ -753,11 +775,12 @@ impl TieredService {
                     match outcome {
                         Some(Ok(reply)) if reply.output.is_some() => {
                             let completed = ladder.pending.submit_at + reply.latency;
-                            self.latency_window.push(reply.latency);
-                            if self.latency_window.len() > self.config.hedge_window {
-                                let excess = self.latency_window.len() - self.config.hedge_window;
-                                self.latency_window.drain(..excess);
+                            if self.latency_window.len() == self.config.hedge_window {
+                                self.latency_window.pop_front();
                             }
+                            self.latency_window.push_back(reply.latency);
+                            #[cfg(test)]
+                            self.latency_log.push(reply.latency);
                             // A suspected rack's breaker belongs to the
                             // failure detector: an in-flight success from
                             // before the silence is stale evidence and
@@ -1035,7 +1058,7 @@ mod tests {
     use super::*;
     use nn::Mlp;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngExt, SeedableRng};
 
     fn mlp() -> Mlp {
         let mut rng = StdRng::seed_from_u64(9);
@@ -1414,5 +1437,73 @@ mod tests {
             ..TierConfig::default()
         };
         assert_eq!(config.validate(), Err(ConfigError::InvalidHedge));
+    }
+
+    /// The nearest-rank hedge quantile recomputed from scratch: sort a
+    /// copy of the last `hedge_window` successful rack latencies and take
+    /// the `ceil(q * n)`-th smallest, floored at `hedge_min`.
+    fn hedge_oracle(log: &[SimDuration], config: &TierConfig) -> SimDuration {
+        let mut recent = log[log.len().saturating_sub(config.hedge_window)..].to_vec();
+        if recent.is_empty() {
+            return config.hedge_min;
+        }
+        recent.sort();
+        let rank = ((recent.len() as f64) * config.hedge_quantile).ceil() as usize;
+        recent[rank.clamp(1, recent.len()) - 1].max(config.hedge_min)
+    }
+
+    #[test]
+    fn cached_hedge_timeout_matches_the_from_scratch_quantile_after_every_flush() {
+        let mlp = mlp();
+        let config = TierConfig {
+            racks: 3,
+            hedge_window: 24,
+            hedge_min: SimDuration::from_micros(50),
+            breaker_threshold: 2,
+            breaker_cooldown: 3,
+            ..TierConfig::default()
+        };
+        let mut tier = TieredService::new(&mlp, config.clone());
+        let mut rng = StdRng::seed_from_u64(41);
+        assert_eq!(tier.hedge_timeout(), config.hedge_min);
+        let epoch = SimDuration::from_millis(20);
+        for e in 0..80u64 {
+            let base = SimTime::from_nanos(e * epoch.as_nanos());
+            // Fault schedule: partitions, regional slowdown and outage.
+            tier.set_partitioned(rng.random_range(0..3usize), rng.random_bool(0.3));
+            tier.set_tier_slowdown(if rng.random_bool(0.3) { 4_000 } else { 1_000 });
+            tier.set_regional_down(rng.random_bool(0.2));
+            let mut at = base;
+            for i in 0..rng.random_range(0..48usize) {
+                at += SimDuration::from_micros(rng.random_range(0..350u64));
+                let rack = rng.random_range(0..3usize);
+                let slack = SimDuration::from_millis(rng.random_range(6..40u64));
+                tier.submit(
+                    rows(&mlp, 1 + i % 3),
+                    at,
+                    TierSubmit {
+                        rack,
+                        client: ClientId::new(rack as u64),
+                        deadline: Some(at + slack),
+                    },
+                )
+                .unwrap();
+            }
+            tier.flush(base + epoch);
+            assert_eq!(
+                tier.hedge_timeout(),
+                hedge_oracle(&tier.latency_log, &config),
+                "epoch {e}"
+            );
+        }
+        assert!(
+            tier.latency_log.len() > 4 * config.hedge_window,
+            "the window must wrap several times"
+        );
+        assert!(tier.stats().hedges > 0, "the run must exercise hedges");
+        assert!(
+            tier.stats().failovers > 0,
+            "the run must exercise failovers"
+        );
     }
 }

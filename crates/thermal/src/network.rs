@@ -87,24 +87,48 @@ impl RcNetworkBuilder {
     pub fn build(self) -> RcNetwork {
         let n = self.nodes.len();
         let temperatures = vec![self.ambient; n];
-        // Pre-compute, per node, the total conductance and the adjacency
-        // list, to make the inner integration loop allocation-free.
-        let mut adjacency: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
+        // Pre-compute the adjacency as one CSR array (node `i`'s
+        // neighbours are `neighbours[offsets[i]..offsets[i + 1]]`, in
+        // edge insertion order) and, per node, the total conductance, to
+        // make the inner integration loop allocation- and
+        // indirection-free.
+        let mut offsets = vec![0usize; n + 1];
+        for &(a, b, _) in &self.edges {
+            offsets[a + 1] += 1;
+            offsets[b + 1] += 1;
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut cursor = offsets.clone();
+        let mut neighbours = vec![(0usize, 0.0f64); offsets[n]];
         for &(a, b, g) in &self.edges {
-            adjacency[a].push((b, g));
-            adjacency[b].push((a, g));
+            neighbours[cursor[a]] = (b, g);
+            cursor[a] += 1;
+            neighbours[cursor[b]] = (a, g);
+            cursor[b] += 1;
         }
         let total_g: Vec<f64> = (0..n)
-            .map(|i| self.nodes[i].g_ambient + adjacency[i].iter().map(|&(_, g)| g).sum::<f64>())
+            .map(|i| {
+                self.nodes[i].g_ambient
+                    + neighbours[offsets[i]..offsets[i + 1]]
+                        .iter()
+                        .map(|&(_, g)| g)
+                        .sum::<f64>()
+            })
             .collect();
-        RcNetwork {
+        let mut net = RcNetwork {
             nodes: self.nodes,
-            adjacency,
+            offsets,
+            neighbours,
             total_g,
+            max_stable_dt: f64::INFINITY,
             temperatures,
             scratch: vec![0.0; n],
             ambient: self.ambient,
-        }
+        };
+        net.max_stable_dt = net.compute_max_stable_dt();
+        net
     }
 }
 
@@ -116,8 +140,13 @@ impl RcNetworkBuilder {
 #[derive(Debug, Clone)]
 pub struct RcNetwork {
     nodes: Vec<Node>,
-    adjacency: Vec<Vec<(usize, f64)>>,
+    /// CSR row offsets into `neighbours` (`len() + 1` entries).
+    offsets: Vec<usize>,
+    /// `(neighbour, conductance)` pairs of every node, row by row.
+    neighbours: Vec<(usize, f64)>,
     total_g: Vec<f64>,
+    /// `min_i C_i / G_i`, refreshed whenever a conductance changes.
+    max_stable_dt: f64,
     temperatures: Vec<f64>,
     scratch: Vec<f64>,
     ambient: f64,
@@ -171,10 +200,16 @@ impl RcNetwork {
         let old = self.nodes[node.0].g_ambient;
         self.nodes[node.0].g_ambient = g;
         self.total_g[node.0] += g - old;
+        self.max_stable_dt = self.compute_max_stable_dt();
+    }
+
+    /// Neighbours of node `i` with their conductances.
+    fn neighbours(&self, i: usize) -> &[(usize, f64)] {
+        &self.neighbours[self.offsets[i]..self.offsets[i + 1]]
     }
 
     /// Largest stable forward-Euler step for the current conductances.
-    fn max_stable_dt(&self) -> f64 {
+    fn compute_max_stable_dt(&self) -> f64 {
         self.nodes
             .iter()
             .zip(&self.total_g)
@@ -205,7 +240,7 @@ impl RcNetwork {
             return;
         }
         // Sub-step at half the stability limit for accuracy headroom.
-        let dt_max = 0.5 * self.max_stable_dt();
+        let dt_max = 0.5 * self.max_stable_dt;
         let substeps = (total / dt_max).ceil().max(1.0) as usize;
         let h = total / substeps as f64;
         for _ in 0..substeps {
@@ -214,15 +249,14 @@ impl RcNetwork {
     }
 
     fn substep(&mut self, powers: &[Watts], h: f64) {
-        let n = self.nodes.len();
-        for i in 0..n {
+        for (i, node) in self.nodes.iter().enumerate() {
             let t_i = self.temperatures[i];
-            let mut flow = self.nodes[i].g_ambient * (self.ambient - t_i);
-            for &(j, g) in &self.adjacency[i] {
+            let mut flow = node.g_ambient * (self.ambient - t_i);
+            for &(j, g) in self.neighbours(i) {
                 flow += g * (self.temperatures[j] - t_i);
             }
             let p = powers.get(i).map_or(0.0, |w| w.value());
-            self.scratch[i] = t_i + h * (p + flow) / self.nodes[i].capacity;
+            self.scratch[i] = t_i + h * (p + flow) / node.capacity;
         }
         std::mem::swap(&mut self.temperatures, &mut self.scratch);
     }
@@ -240,7 +274,7 @@ impl RcNetwork {
         let mut a = vec![vec![0.0f64; n + 1]; n];
         for i in 0..n {
             a[i][i] = self.total_g[i];
-            for &(j, g) in &self.adjacency[i] {
+            for &(j, g) in self.neighbours(i) {
                 a[i][j] -= g;
             }
             let p = powers.get(i).map_or(0.0, |w| w.value());
